@@ -1,6 +1,6 @@
 """Kernel performance benchmarks: the four-lane scheduler at grid scale.
 
-Two workloads, written to ``BENCH_kernel.json``:
+Two workloads, written to ``.bench_build/BENCH_kernel.json``:
 
 **Periodic-heavy** (the headline ``scales`` section, flatness-gated in CI):
 every node runs the RPC-V cadence pattern — a 1 s heart-beat driven by
@@ -40,7 +40,9 @@ from repro.net.message import MessagePool, MessageType
 from repro.sim.core import AnyOf, Environment, Event, Timeout
 from repro.types import Address
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
+#: fresh results; the tracked baseline at the repo root is only replaced by
+#: hand, after ``check_bench_regression.py`` passes on this file.
+BENCH_PATH = Path(__file__).resolve().parent.parent / ".bench_build" / "BENCH_kernel.json"
 
 # --------------------------------------------------------------------------
 # Periodic-heavy workload (headline): heart-beats + detector re-arms.
@@ -347,6 +349,7 @@ def test_kernel_benchmark_writes_bench_json_and_beats_legacy():
             "speedup": round(speedup, 2),
         },
     }
+    BENCH_PATH.parent.mkdir(exist_ok=True)
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     summary = {
         scale: row["events_per_sec"] for scale, row in periodic.items()

@@ -8,27 +8,30 @@ finally a scripted double coordinator failure is survived.
 """
 
 from repro.experiments import run_fig10
-from repro.grid import run_synthetic_benchmark
+from repro.scenarios.engine import FaultPlan, GridTopology, WorkloadSpec, execute_benchmark
+
+TOPOLOGY = GridTopology(n_servers=8, n_coordinators=4)
+WORKLOAD = WorkloadSpec(n_calls=48, exec_time=5.0)
 
 
 def main() -> None:
     print("=== 1. no fault (baseline) ===")
-    baseline = run_synthetic_benchmark(n_calls=48, exec_time=5.0, n_servers=8, n_coordinators=4)
+    baseline = execute_benchmark(topology=TOPOLOGY, workload=WORKLOAD)
     print(f"makespan {baseline.makespan:.1f} s "
           f"({100 * baseline.overhead_vs_ideal:.0f}% over the {baseline.ideal_time:.0f} s ideal)")
 
     print("\n=== 2. servers killed at 6 faults/min ===")
-    servers = run_synthetic_benchmark(
-        n_calls=48, exec_time=5.0, n_servers=8, n_coordinators=4,
-        faults_per_minute=6.0, fault_target="servers", fault_restart_delay=5.0, seed=7,
+    servers = execute_benchmark(
+        topology=TOPOLOGY, workload=WORKLOAD, seed=7,
+        faults=FaultPlan(kind="rate", target="servers", faults_per_minute=6.0),
     )
     print(f"makespan {servers.makespan:.1f} s, faults injected {servers.faults_injected}, "
           f"completed {servers.completed}/{servers.submitted}")
 
     print("\n=== 3. coordinators killed at 6 faults/min ===")
-    coordinators = run_synthetic_benchmark(
-        n_calls=48, exec_time=5.0, n_servers=8, n_coordinators=4,
-        faults_per_minute=6.0, fault_target="coordinators", fault_restart_delay=5.0, seed=7,
+    coordinators = execute_benchmark(
+        topology=TOPOLOGY, workload=WORKLOAD, seed=7,
+        faults=FaultPlan(kind="rate", target="coordinators", faults_per_minute=6.0),
     )
     print(f"makespan {coordinators.makespan:.1f} s, faults injected {coordinators.faults_injected}, "
           f"completed {coordinators.completed}/{coordinators.submitted}")

@@ -3,7 +3,7 @@
 These helpers turn the raw time series collected by the monitor into the
 quantities the paper discusses: infrastructure overhead over the ideal time,
 the replica's lag behind the primary (the plateaux of Figure 9), and compact
-series summaries used by the tests and EXPERIMENTS.md.  They also load the
+series summaries used by the tests.  They also load the
 JSON artifacts written by the scenario results store back into row/column
 form for paper-vs-measured comparison.
 """

@@ -1,26 +1,22 @@
 """Protocol presets for the baseline systems, as declarative policy bundles.
 
-Each baseline of the paper's comparison is a *bundle*: one ``policy.*``
-registry entry per decision axis (scheduling, replication, client logging).
-:func:`protocol_from_bundle` turns a bundle into a ready
-:class:`~repro.config.ProtocolConfig` — it records the entries on
-``protocol.policy`` (the authoritative selection the components resolve
-through :mod:`repro.policies`) *and* mirrors them onto the legacy tier-config
-flags (``replication.enabled``, ``reschedule_on_suspicion``,
-``logging.strategy``) so ``describe()`` and flag-reading code stay truthful.
+Each baseline of the paper's comparison is a *bundle*: a mapping of
+dotted-path protocol overrides — ``policy.*`` entries naming the algorithm
+on a decision axis, plus the tier settings that differ from the defaults —
+in the same format as ``--set`` on the CLI and a spec's
+``protocol_overrides``.  :func:`protocol_from_bundle` applies one to a
+default :class:`~repro.config.ProtocolConfig`.
 
-Bundles are plain data: copy one, swap an entry (or add ``params``), and a
-new protocol ablation needs no code — ``--set policy.scheduler=...`` on the
-CLI edits the same entries per run.
+Bundles are plain data: copy one, swap an entry, and a new protocol
+ablation needs no code.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from repro.config import ProtocolConfig
+from repro.config import ProtocolConfig, apply_protocol_overrides
 from repro.errors import ConfigurationError
-from repro.policies.resolve import sync_policy_flags
 
 __all__ = [
     "POLICY_BUNDLES",
@@ -28,22 +24,16 @@ __all__ = [
     "rpcv_protocol",
     "no_fault_tolerance_protocol",
     "netsolve_style_protocol",
-    "sync_policy_flags",
 ]
 
 #: the three baseline systems of the paper's comparison, one bundle each.
 POLICY_BUNDLES: dict[str, dict[str, Any]] = {
     # The full RPC-V configuration used throughout the experiments.
     "rpc-v": {
-        "scheduler": {
-            "name": "policy.sched.fifo-reschedule",
-            "params": {"reschedule": True},
-        },
-        "replication": {
-            "name": "policy.repl.passive-periodic",
-            "params": {"period": 5.0},
-        },
-        "logging": {"name": "policy.log.pessimistic-nonblocking"},
+        "policy.scheduler": "policy.sched.fifo-reschedule",
+        "policy.replication": "policy.repl.passive-periodic",
+        "policy.logging": "policy.log.pessimistic-nonblocking",
+        "coordinator.replication.period": 5.0,
     },
     # Ninf/RCS-style: no replication, no rescheduling, no durable client
     # logs.  Submissions still reach the middle tier (the architecture is
@@ -51,37 +41,24 @@ POLICY_BUNDLES: dict[str, dict[str, Any]] = {
     # server simply loses whatever it was holding until the application
     # notices by itself.
     "no-fault-tolerance": {
-        "scheduler": {
-            "name": "policy.sched.fifo-reschedule",
-            "params": {"reschedule": False},
-        },
-        "replication": {"name": "policy.repl.none"},
-        "logging": {"name": "policy.log.optimistic"},
+        "policy.replication": "policy.repl.none",
+        "policy.logging": "policy.log.optimistic",
+        "coordinator.scheduler.reschedule_on_suspicion": False,
     },
     # NetSolve-style: server fault tolerance only.  The agent (coordinator)
     # reschedules RPCs when it suspects a server, but it is a single point
     # of failure (no passive replication) and the client keeps no durable
     # logs — "agent and client fault tolerance is not supported".
     "netsolve-style": {
-        "scheduler": {
-            "name": "policy.sched.fifo-reschedule",
-            "params": {"reschedule": True},
-        },
-        "replication": {"name": "policy.repl.none"},
-        "logging": {"name": "policy.log.optimistic"},
+        "policy.replication": "policy.repl.none",
+        "policy.logging": "policy.log.optimistic",
     },
 }
 
 
-def protocol_from_bundle(
-    bundle: Mapping[str, Any] | str, protocol: ProtocolConfig | None = None
-) -> ProtocolConfig:
-    """Build (or extend) a :class:`ProtocolConfig` from a policy bundle.
-
-    ``bundle`` is a mapping of ``scheduler`` / ``replication`` / ``logging``
-    to policy entries (name string or ``{"name", "params"}``), or the name
-    of a bundle in :data:`POLICY_BUNDLES`.
-    """
+def protocol_from_bundle(bundle: Mapping[str, Any] | str) -> ProtocolConfig:
+    """A default configuration with ``bundle`` (or the one of that name in
+    :data:`POLICY_BUNDLES`) applied."""
     if isinstance(bundle, str):
         try:
             bundle = POLICY_BUNDLES[bundle]
@@ -90,25 +67,7 @@ def protocol_from_bundle(
             raise ConfigurationError(
                 f"unknown policy bundle {bundle!r} (known: {known})"
             ) from None
-    unknown = set(bundle) - {"scheduler", "replication", "logging", "detection"}
-    if unknown:
-        # Checked before anything is applied, so a typoed axis never leaves
-        # a passed-in protocol half-mutated.
-        raise ConfigurationError(
-            f"unknown policy bundle axes: {sorted(unknown)} "
-            "(expected scheduler/replication/logging/detection)"
-        )
-    protocol = protocol or ProtocolConfig()
-    for axis in ("scheduler", "replication", "logging", "detection"):
-        entry = bundle.get(axis)
-        if entry is None:
-            continue
-        if isinstance(entry, str):
-            entry = {"name": entry}
-        name = entry["name"]
-        params = dict(entry.get("params") or {})
-        setattr(protocol.policy, axis, {"name": name, "params": params})
-    return sync_policy_flags(protocol).validate()
+    return apply_protocol_overrides(ProtocolConfig(), bundle)
 
 
 def rpcv_protocol() -> ProtocolConfig:

@@ -6,17 +6,22 @@ paper states its experimental settings:
 
 * heart-beat period 5 s, suspicion after 30 s of silence (confined cluster);
 * coordinator replication period 60 s (Internet testbed);
-* 16 servers, 4 coordinators, 1 client on the confined cluster;
-* logging strategy selectable among the three of Fig. 4.
+* 16 servers, 4 coordinators, 1 client on the confined cluster.
+
+Each setting has one home.  Which algorithm runs on a decision axis is a
+``policy.*`` entry (:class:`PolicyConfig`), carrying only that algorithm's
+own parameters; a setting that applies whichever algorithm runs — the
+replication period, the suspicion timeout, the reschedule-on-suspicion
+switch — lives on the tier config alone.  :func:`apply_protocol_overrides`
+edits either by dotted path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
-from repro.types import LoggingStrategy
 
 __all__ = [
     "FaultDetectionConfig",
@@ -28,6 +33,8 @@ __all__ = [
     "CoordinatorConfig",
     "ServerConfig",
     "ProtocolConfig",
+    "apply_protocol_overrides",
+    "normalize_policy_entry",
 ]
 
 
@@ -58,7 +65,6 @@ class FaultDetectionConfig:
 class LoggingConfig:
     """Client-side sender-based message logging parameters."""
 
-    strategy: LoggingStrategy = LoggingStrategy.PESSIMISTIC_NON_BLOCKING
     #: capacity of the local log in bytes before garbage collection triggers.
     capacity_bytes: int = 4 * 1024 * 1024 * 1024
     #: fraction of the capacity to free when garbage collection runs.
@@ -81,12 +87,6 @@ class ReplicationConfig:
     #: period between two state propagations to the ring successor (seconds);
     #: 60 s for the Internet testbed, one heart-beat period on the cluster.
     period: float = 60.0
-    #: whether replication is enabled at all (ablation switch).
-    enabled: bool = True
-    #: replicate task descriptions one by one (paper's implementation) or as
-    #: a single batch message (the optimization the paper argues is useless
-    #: because database time dominates).
-    batch: bool = False
 
     def validate(self) -> None:
         if self.period <= 0:
@@ -95,25 +95,10 @@ class ReplicationConfig:
 
 @dataclass
 class SchedulerConfig:
-    """Coordinator-side scheduling policy parameters."""
+    """Coordinator-side scheduling settings shared by every ``policy.sched.*``."""
 
-    #: scheduling policy; only "fcfs" is provided, as in the paper.
-    policy: str = "fcfs"
     #: re-schedule all tasks of a suspected server ("on suspicion" replication).
     reschedule_on_suspicion: bool = True
-    #: proactively replicate each RPC on this many servers (paper: 1, i.e. no
-    #: anticipation; the flag it says "could be added easily").
-    proactive_replicas: int = 1
-    #: maximum concurrent tasks per server.
-    server_slots: int = 1
-
-    def validate(self) -> None:
-        if self.policy not in {"fcfs"}:
-            raise ConfigurationError(f"unknown scheduling policy {self.policy!r}")
-        if self.proactive_replicas < 1:
-            raise ConfigurationError("proactive_replicas must be >= 1")
-        if self.server_slots < 1:
-            raise ConfigurationError("server_slots must be >= 1")
 
 
 @dataclass
@@ -165,7 +150,6 @@ class CoordinatorConfig:
 
     def validate(self) -> None:
         self.replication.validate()
-        self.scheduler.validate()
         self.detection.validate()
         if self.request_processing_overhead < 0:
             raise ConfigurationError(
@@ -178,9 +162,6 @@ class ServerConfig:
     """Server (worker) component parameters."""
 
     detection: FaultDetectionConfig = field(default_factory=FaultDetectionConfig)
-    #: whether the server keeps computing while disconnected from every
-    #: coordinator (off-line computing, a feature of the paper's design).
-    offline_computing: bool = True
     #: number of concurrent task slots.
     slots: int = 1
     #: how long the server waits after a NO_WORK answer before asking again.
@@ -198,16 +179,39 @@ class ServerConfig:
             raise ConfigurationError("request_retry must be positive")
 
 
+def normalize_policy_entry(
+    entry: Any, label: str = "policy entry"
+) -> tuple[str, dict[str, Any]] | None:
+    """``entry`` -> ``(name, params)``, or ``None`` when unset.
+
+    Accepted shapes: ``None``, a registry key / dotted-path string, or a
+    mapping with a ``"name"`` key and optional ``"params"``.
+    """
+    if entry is None:
+        return None
+    if isinstance(entry, str):
+        if not entry:
+            raise ConfigurationError(f"{label} must be a non-empty name")
+        return entry, {}
+    if isinstance(entry, Mapping):
+        name = entry.get("name")
+        if not name:
+            raise ConfigurationError(f"{label} {dict(entry)!r} has no 'name' key")
+        return str(name), dict(entry.get("params") or {})
+    raise ConfigurationError(
+        f"{label} must be a name or a {{'name', 'params'}} mapping, got {entry!r}"
+    )
+
+
 @dataclass
 class PolicyConfig:
     """Registry-resolved strategy selection (the ``policy.*`` component keys).
 
-    Each entry is ``None`` (derive the equivalent built-in from the legacy
-    tier-config flags), a registry key / dotted-path string such as
-    ``"policy.sched.random"``, or a ``{"name": ..., "params": {...}}``
-    mapping.  Resolution lives in :mod:`repro.policies.resolve`; this class
-    only carries the selection, so it stays importable without the policy
-    implementations.
+    Each entry is ``None`` (the paper's built-in), a registry key /
+    dotted-path string such as ``"policy.sched.random"``, or a
+    ``{"name": ..., "params": {...}}`` mapping.  Resolution lives in
+    :mod:`repro.policies.resolve`; this class only carries the selection, so
+    it stays importable without the policy implementations.
     """
 
     #: coordinator scheduling policy (``policy.sched.*``).
@@ -221,46 +225,9 @@ class PolicyConfig:
     #: detector.
     detection: Any = None
 
-    def entries(self) -> dict[str, Any]:
-        """The explicitly-set entries, by field name."""
-        return {
-            name: value
-            for name, value in (
-                ("scheduler", self.scheduler),
-                ("replication", self.replication),
-                ("logging", self.logging),
-                ("detection", self.detection),
-            )
-            if value is not None
-        }
-
-    @staticmethod
-    def _check(label: str, entry: Any) -> None:
-        if entry is None:
-            return
-        if isinstance(entry, str):
-            if not entry:
-                raise ConfigurationError(f"policy.{label} must be a non-empty name")
-            return
-        if isinstance(entry, Mapping):
-            if not entry.get("name"):
-                raise ConfigurationError(
-                    f"policy.{label} mapping needs a 'name' key"
-                )
-            return
-        raise ConfigurationError(
-            f"policy.{label} must be a name or a {{'name', 'params'}} mapping, "
-            f"got {entry!r}"
-        )
-
     def validate(self) -> None:
-        for label, entry in (
-            ("scheduler", self.scheduler),
-            ("replication", self.replication),
-            ("logging", self.logging),
-            ("detection", self.detection),
-        ):
-            self._check(label, entry)
+        for axis in fields(self):
+            normalize_policy_entry(getattr(self, axis.name), f"policy.{axis.name}")
 
 
 @dataclass
@@ -270,8 +237,7 @@ class ProtocolConfig:
     client: ClientConfig = field(default_factory=ClientConfig)
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     server: ServerConfig = field(default_factory=ServerConfig)
-    #: explicit ``policy.*`` selections; ``None`` entries fall back to the
-    #: equivalent built-ins derived from the flags above.
+    #: ``policy.*`` selections; ``None`` entries run the paper's built-ins.
     policy: PolicyConfig = field(default_factory=PolicyConfig)
 
     def validate(self) -> "ProtocolConfig":
@@ -281,33 +247,36 @@ class ProtocolConfig:
         self.policy.validate()
         return self
 
-    def with_logging_strategy(self, strategy: LoggingStrategy) -> "ProtocolConfig":
-        """A copy of this configuration with a different logging strategy."""
-        client = replace(
-            self.client, logging=replace(self.client.logging, strategy=strategy)
-        )
-        return replace(self, client=client)
 
-    def describe(self) -> dict[str, Any]:
-        """A flat, printable description used by experiment reports."""
-        scheduler_entry = self.policy.scheduler
-        if isinstance(scheduler_entry, dict):
-            scheduler_policy = scheduler_entry.get("name")
-        else:
-            # A set entry names the effective ordering; the legacy flag only
-            # ever holds "fcfs".
-            scheduler_policy = scheduler_entry or self.coordinator.scheduler.policy
-        description = {
-            "logging_strategy": self.client.logging.strategy.value,
-            "heartbeat_period": self.coordinator.detection.heartbeat_period,
-            "suspicion_timeout": self.coordinator.detection.suspicion_timeout,
-            "replication_period": self.coordinator.replication.period,
-            "replication_enabled": self.coordinator.replication.enabled,
-            "scheduler_policy": scheduler_policy,
-            "result_poll_period": self.client.result_poll_period,
-        }
-        for label, entry in self.policy.entries().items():
-            description[f"policy.{label}"] = (
-                entry if isinstance(entry, str) else dict(entry)
-            )
-        return description
+def _known_keys(target: Any) -> str:
+    """The valid attribute names at one segment of an override path."""
+    if is_dataclass(target):
+        keys = [f.name for f in fields(target)]
+    else:
+        keys = [k for k in vars(target) if not k.startswith("_")]
+    return ", ".join(sorted(keys)) or "<none>"
+
+
+def apply_protocol_overrides(
+    protocol: ProtocolConfig, overrides: Mapping[str, Any]
+) -> ProtocolConfig:
+    """Apply dotted-path overrides (``"coordinator.replication.period"``).
+
+    Every path must name an existing attribute — typos are configuration
+    errors, not silent no-ops, and the error names the valid keys at the
+    failing segment.  The mutated config is re-validated.
+    """
+    for path, value in overrides.items():
+        target: Any = protocol
+        parts = path.split(".")
+        for index, part in enumerate(parts):
+            if not hasattr(target, part):
+                at = ".".join(parts[:index]) or "the protocol root"
+                raise ConfigurationError(
+                    f"unknown protocol path {path!r}: {part!r} is not a key "
+                    f"of {at} (valid keys: {_known_keys(target)})"
+                )
+            if index < len(parts) - 1:
+                target = getattr(target, part)
+        setattr(target, parts[-1], value)
+    return protocol.validate()

@@ -19,7 +19,6 @@ from repro.core.protocol import (
 )
 from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import ReplicaState, build_state, merge_state
-from repro.core.scheduler import FcfsScheduler, SchedulingDecision
 from repro.core.taskindex import TaskIndex
 from repro.core.server import ServerComponent
 from repro.core.services import ServiceRegistry, ServiceSpec, default_registry
@@ -38,12 +37,10 @@ __all__ = [
     "ClientSyncPlan",
     "CoordinatorComponent",
     "CoordinatorRegistry",
-    "FcfsScheduler",
     "GridRpc",
     "ReplicaState",
     "ResultRecord",
     "RPCHandle",
-    "SchedulingDecision",
     "ServerComponent",
     "ServerSyncPlan",
     "ServiceRegistry",

@@ -19,7 +19,7 @@ from repro.core.protocol import CallDescription, ResultRecord, identity_to_key
 from repro.core.registry import CoordinatorRegistry
 from repro.core.services import ServiceRegistry, default_registry
 from repro.detect import FailureDetector, HeartbeatEmitter
-from repro.policies.resolve import detection_policy_from
+from repro.policies.resolve import resolve_policy
 from repro.msglog import MessageLog
 from repro.net.message import Message, MessageType
 from repro.nodes.node import Host
@@ -72,7 +72,7 @@ class ServerComponent:
 
     def _make_detector(self) -> FailureDetector:
         """Fresh coordinator detector for one incarnation (policy bound)."""
-        policy = detection_policy_from(self.config.detection, self.policies.detection)
+        policy = resolve_policy("detection", self.policies.detection)
         policy.bind(owner=self.name, rng=self.host.rng, monitor=self.monitor)
         return FailureDetector(self.config.detection, policy=policy)
 

@@ -5,8 +5,7 @@ Every figure is registered as a declarative scenario (see
 is how ``python -m repro list`` finds the figures.  Every driver also keeps a
 ``run_*`` wrapper returning plain rows (lists of dictionaries) that print as
 the series the paper plots; the benchmark harness under ``benchmarks/``
-simply calls these with scaled-down parameters, and ``EXPERIMENTS.md``
-records paper-vs-measured values produced with the defaults.
+simply calls these with scaled-down parameters.
 """
 
 from repro.experiments.fig4_message_logging import run_fig4_vs_calls, run_fig4_vs_size

@@ -9,7 +9,7 @@
 
 Both are registered as scenarios (``ablation-baselines``,
 ``ablation-detector``); the ``run_*`` functions are thin wrappers kept for the
-benchmarks and EXPERIMENTS.md flows.
+benchmarks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Any
 
 from repro.config import FaultDetectionConfig
 from repro.detect import FailureDetector
-from repro.policies.resolve import detection_policy_from
+from repro.policies.resolve import resolve_policy
 from repro.scenarios.engine import benchmark_cell
 from repro.scenarios.reducers import grouped, mean
 from repro.scenarios.registry import scenario
@@ -140,7 +140,7 @@ def detector_cell(
 
     timeout = period * timeout_multiplier
     config = FaultDetectionConfig(heartbeat_period=period, suspicion_timeout=timeout)
-    policy = detection_policy_from(config, detection_policy)
+    policy = resolve_policy("detection", detection_policy)
     policy.bind(owner="detector-cell", rng=rng, monitor=None)
     detector = FailureDetector(config, policy=policy)
     detector.watch(subject, 0.0)

@@ -13,8 +13,7 @@ calls (disk latency ≈ communication time); non-blocking pessimistic close to
 optimistic with a small, variable overhead.
 
 Both panels are registered as scenarios (``fig4-size``, ``fig4-calls``); the
-``run_*`` functions are thin wrappers kept for the benchmarks and
-EXPERIMENTS.md flows.
+``run_*`` functions are thin wrappers kept for the benchmarks.
 """
 
 from __future__ import annotations
@@ -23,6 +22,11 @@ from typing import Any
 
 from repro.config import ProtocolConfig
 from repro.grid.builder import build_confined_cluster
+from repro.policies.logging import (
+    OptimisticLogging,
+    PessimisticBlockingLogging,
+    PessimisticNonBlockingLogging,
+)
 from repro.scenarios.reducers import grouped
 from repro.scenarios.registry import scenario
 from repro.scenarios.runner import run_scenario
@@ -41,6 +45,16 @@ STRATEGIES: tuple[LoggingStrategy, ...] = (
 
 _STRATEGY_VALUES = tuple(strategy.value for strategy in STRATEGIES)
 
+#: strategy -> the ``policy.log.*`` key implementing it.
+_POLICY_KEYS = {
+    policy.strategy: policy.key
+    for policy in (
+        OptimisticLogging,
+        PessimisticNonBlockingLogging,
+        PessimisticBlockingLogging,
+    )
+}
+
 
 def _measure_submission(
     strategy: LoggingStrategy,
@@ -49,7 +63,8 @@ def _measure_submission(
     seed: int = 0,
 ) -> float:
     """Total submission time of ``n_calls`` calls under one strategy."""
-    protocol = ProtocolConfig().with_logging_strategy(strategy)
+    protocol = ProtocolConfig()
+    protocol.policy.logging = _POLICY_KEYS[strategy]
     protocol.coordinator.replication.period = 5.0
     # This experiment isolates the *client-side logging* cost: keep the
     # coordinator lightweight (no heavy middleware charge per request) and the

@@ -14,8 +14,7 @@ bandwidth separates the curves at large sizes while its faster database
 machines make the many-small-records case cheaper than the cluster's.
 
 Both panels are registered as scenarios (``fig5-size``, ``fig5-count``); the
-``run_*`` functions are thin wrappers kept for the benchmarks and
-EXPERIMENTS.md flows.
+``run_*`` functions are thin wrappers kept for the benchmarks.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ _ENVIRONMENTS = ("confined", "internet")
 
 def _build(environment: str, seed: int = 0) -> Grid:
     protocol = ProtocolConfig()
-    protocol.coordinator.replication.enabled = False  # measured manually
+    protocol.policy.replication = "policy.repl.none"  # measured manually
     # Keep unrelated traffic (work requests) out of the measurement, and do
     # not let the ack wait be cut short by the suspicion timeout: bulk
     # replications over the Internet legitimately take minutes (Fig. 5).

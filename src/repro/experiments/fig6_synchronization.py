@@ -16,8 +16,7 @@ the loaded coordinator); the gap narrows as the data volume grows and the
 transfer time dominates both directions.
 
 Both panels are registered as scenarios (``fig6-size``, ``fig6-calls``); the
-``run_*`` functions are thin wrappers kept for the benchmarks and
-EXPERIMENTS.md flows.
+``run_*`` functions are thin wrappers kept for the benchmarks.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ _DIRECTIONS = ("client-logs", "coordinator-logs")
 
 def _build(seed: int = 0, quiet: bool = True) -> Grid:
     protocol = ProtocolConfig()
-    protocol.coordinator.replication.enabled = False
+    protocol.policy.replication = "policy.repl.none"
     if quiet:
         # The client-logs direction is measured in isolation: silence the
         # periodic result polls (issued explicitly by the driver instead) and

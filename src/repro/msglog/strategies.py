@@ -15,9 +15,7 @@ LoggingPolicy` from the ``policy.log.*`` family:
 The engine exposes two process fragments, :meth:`LoggingEngine.before_send`
 and :meth:`LoggingEngine.after_send`, that the client wraps around its
 communication; the returned :class:`LogToken` carries the durability event
-between the two.  Constructing the engine without an explicit policy derives
-one from the config's legacy ``strategy`` flag, so direct users of this
-module behave exactly as before the policy layer existed.
+between the two.
 """
 
 from __future__ import annotations
@@ -25,11 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.config import LoggingConfig
 from repro.msglog.log import MessageLog
 from repro.nodes.node import Host
 from repro.sim.core import Event
-from repro.types import LoggingStrategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.policies.logging import LoggingPolicy
@@ -53,31 +49,13 @@ class LogToken:
 class LoggingEngine:
     """Applies one logging policy around every logged communication."""
 
-    def __init__(
-        self,
-        host: Host,
-        log: MessageLog,
-        config: LoggingConfig,
-        policy: "LoggingPolicy | None" = None,
-    ) -> None:
+    def __init__(self, host: Host, log: MessageLog, policy: "LoggingPolicy") -> None:
         self.host = host
         self.log = log
-        self.config = config
-        if policy is None:
-            # Deferred import: repro.policies.logging imports this module's
-            # LogToken, so the default resolution cannot be a top-level import.
-            from repro.policies.resolve import logging_policy_from
-
-            policy = logging_policy_from(config)
         self.policy = policy
         #: cumulative simulated time the strategy added in front of / behind
         #: communications (reported by the Fig. 4 experiment).
         self.blocking_overhead = 0.0
-
-    @property
-    def strategy(self) -> LoggingStrategy:
-        """The strategy the active policy implements."""
-        return self.policy.strategy
 
     # -- process fragments ---------------------------------------------------------
     def before_send(self, key: Any, payload: dict[str, Any], size_bytes: int):

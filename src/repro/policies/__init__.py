@@ -17,8 +17,10 @@ Every policy is registered in the platform registry under its ``policy.*``
 key, so scenarios select them exactly like injectors: by name with plain
 parameters — ``--set policy.scheduler=policy.sched.random`` on the CLI, a
 ``protocol_overrides`` entry on a spec, or a custom class by dotted path
-(see ``examples/custom_policy.py``).  :mod:`repro.policies.resolve` maps the
-legacy tier-config flags onto the equivalent built-ins when no entry is set.
+(see ``examples/custom_policy.py``).  :func:`resolve_policy` turns an entry
+into an instance; an unset entry runs the paper's built-in.  Settings that
+apply whichever policy runs (replication period, suspicion timeout,
+reschedule-on-suspicion) stay on the tier configs.
 """
 
 from repro.policies.base import PolicyBase
@@ -42,11 +44,8 @@ from repro.policies.replication import (
     ReplicationPolicy,
 )
 from repro.policies.resolve import (
-    detection_policy_from,
-    logging_policy_from,
     normalize_policy_entry,
-    replication_policy_from,
-    scheduler_policy_from,
+    resolve_policy,
     validate_policy_entries,
 )
 from repro.policies.scheduling import (
@@ -79,10 +78,7 @@ __all__ = [
     "RoundRobinSchedulerPolicy",
     "SchedulerPolicy",
     "SchedulingDecision",
-    "detection_policy_from",
-    "logging_policy_from",
     "normalize_policy_entry",
-    "replication_policy_from",
-    "scheduler_policy_from",
+    "resolve_policy",
     "validate_policy_entries",
 ]

@@ -8,8 +8,8 @@ history and wrong-suspicion accounting — stays in
 the policy accumulated from past heartbeats), is the subject suspected?
 
 * ``policy.detect.fixed-timeout``    — the paper's detector: suspect after a
-  fixed ``suspicion_timeout`` seconds of silence.  Stateless; byte-identical
-  to the historical flag-driven rule and therefore the default.
+  fixed ``suspicion_timeout`` seconds of silence.  Stateless, and the
+  default.
 * ``policy.detect.adaptive-timeout`` — Jacobson-style RTO estimation over
   inter-heartbeat gaps: suspect when silence exceeds ``mean + k * var``
   (EWMA smoothed), floored at two heartbeat periods and ceilinged at the
@@ -66,23 +66,14 @@ class DetectionPolicy(PolicyBase):
 
 @component("policy.detect.fixed-timeout")
 class FixedTimeoutDetection(DetectionPolicy):
-    """Suspect after a fixed silence threshold (the paper's detector)."""
+    """Suspect after the configured ``suspicion_timeout`` (the paper's detector)."""
 
     key = "policy.detect.fixed-timeout"
-
-    def __init__(self, timeout: float | None = None, name: str | None = None) -> None:
-        super().__init__(name)
-        if timeout is not None and timeout <= 0:
-            raise ConfigurationError("timeout must be positive")
-        #: seconds of silence before suspicion; ``None`` defers to the
-        #: detector's :class:`~repro.config.FaultDetectionConfig` timeout.
-        self.timeout = timeout
 
     def suspects(
         self, subject: object, silence: float, config: "FaultDetectionConfig"
     ) -> bool:
-        timeout = self.timeout if self.timeout is not None else config.suspicion_timeout
-        return silence > timeout
+        return silence > config.suspicion_timeout
 
 
 @component("policy.detect.adaptive-timeout")

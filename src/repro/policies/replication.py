@@ -7,8 +7,8 @@ suspecting a silent successor — lives on the coordinator
 rounds happen and what triggers them.
 
 * ``policy.repl.passive-periodic`` — the paper's protocol: one round every
-  ``period`` seconds (60 s on the Internet testbed, one heart-beat period on
-  the confined cluster);
+  ``coordinator.replication.period`` seconds (60 s on the Internet testbed,
+  one heart-beat period on the confined cluster);
 * ``policy.repl.none``             — never replicate (the Ninf/RCS-style and
   NetSolve-style baselines);
 * ``policy.repl.on-commit``        — eager: a round fires as soon as state
@@ -46,9 +46,6 @@ class ReplicationPolicy(PolicyBase):
 
     key = "policy.repl.base"
 
-    #: whether this policy replicates at all (reporting / describe()).
-    enabled = True
-
     def install(self, coordinator: "CoordinatorComponent") -> None:
         """Arm the cadence on ``coordinator`` (called from its ``start()``)."""
 
@@ -58,15 +55,9 @@ class ReplicationPolicy(PolicyBase):
 
 @component("policy.repl.passive-periodic")
 class PassivePeriodicReplication(ReplicationPolicy):
-    """One replication round every ``period`` seconds (the paper's protocol)."""
+    """One round every ``coordinator.replication.period`` seconds (the paper's)."""
 
     key = "policy.repl.passive-periodic"
-
-    def __init__(self, period: float | None = None, name: str | None = None) -> None:
-        super().__init__(name)
-        #: seconds between rounds; ``None`` defers to the coordinator's
-        #: :class:`~repro.config.ReplicationConfig` period.
-        self.period = period
 
     def install(self, coordinator: "CoordinatorComponent") -> None:
         coordinator.host.spawn(
@@ -74,11 +65,7 @@ class PassivePeriodicReplication(ReplicationPolicy):
         )
 
     def _loop(self, coordinator: "CoordinatorComponent"):
-        period = (
-            self.period
-            if self.period is not None
-            else coordinator.config.replication.period
-        )
+        period = coordinator.config.replication.period
         try:
             while True:
                 yield coordinator.host.sleep(period)
@@ -93,7 +80,6 @@ class NoReplication(ReplicationPolicy):
     """Never replicate: the coordinator is a single point of failure."""
 
     key = "policy.repl.none"
-    enabled = False
 
 
 @component("policy.repl.on-commit")
@@ -180,7 +166,8 @@ class QuorumReplication(ReplicationPolicy):
     outstanding un-acked push is backed off exponentially (per successor, in
     units of the round period) and suspected after two consecutive misses,
     so one silent replica neither stalls the round nor keeps absorbing
-    state pushes it never acknowledges.
+    state pushes it never acknowledges.  Rounds run every
+    ``coordinator.replication.period`` seconds.
 
     On restart (a fresh incarnation of a crashed coordinator), the policy
     first pulls the replicated state back from the surviving successors and
@@ -193,7 +180,6 @@ class QuorumReplication(ReplicationPolicy):
         self,
         successors: int = 2,
         quorum: int | None = None,
-        period: float | None = None,
         max_backoff_rounds: int = 4,
         name: str | None = None,
     ) -> None:
@@ -208,7 +194,6 @@ class QuorumReplication(ReplicationPolicy):
             raise ConfigurationError("max_backoff_rounds must be >= 1")
         self.successors = int(successors)
         self.quorum = quorum
-        self.period = period
         self.max_backoff_rounds = int(max_backoff_rounds)
         # per-successor outstanding-push backoff state.
         self._next_allowed: dict = {}
@@ -228,11 +213,7 @@ class QuorumReplication(ReplicationPolicy):
 
     def _loop(self, coordinator: "CoordinatorComponent"):
         env = coordinator.env
-        period = (
-            self.period
-            if self.period is not None
-            else coordinator.config.replication.period
-        )
+        period = coordinator.config.replication.period
         try:
             if coordinator.host.incarnation > 0:
                 yield from self._recover(coordinator)

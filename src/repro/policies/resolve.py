@@ -1,201 +1,58 @@
-"""Turning configuration into policy instances.
+"""Turning ``policy.*`` entries into policy instances.
 
-Two inputs meet here:
-
-* the **legacy flags** on the tier configs (``SchedulerConfig.
-  reschedule_on_suspicion``, ``ReplicationConfig.enabled``/``period``,
-  ``LoggingConfig.strategy``) — the way scenarios tuned behaviour before the
-  policy layer existed, still honoured as the defaults;
-* the **policy entries** of :class:`~repro.config.PolicyConfig`
-  (``protocol.policy.scheduler`` and friends) — a registry key string
-  (``"policy.sched.random"``) or a ``{"name": ..., "params": {...}}``
-  mapping, resolved through :mod:`repro.platform.registry` so custom
-  policies plug in by dotted path exactly like custom injectors.
-
-When an entry is set it wins; when it is ``None`` the flags pick the
-equivalent built-in, so a configuration written before the refactor resolves
-to byte-identical behaviour.
+A :class:`~repro.config.PolicyConfig` entry (``protocol.policy.scheduler``
+and friends) is a registry key string (``"policy.sched.random"``) or a
+``{"name": ..., "params": {...}}`` mapping, resolved through
+:mod:`repro.platform.registry` so custom policies plug in by dotted path
+exactly like custom injectors.  ``None`` runs the paper's built-in for that
+axis.  An entry carries only its algorithm's own parameters: settings that
+apply whichever algorithm runs (the replication period, the suspicion
+timeout, the reschedule-on-suspicion switch) are read from the tier configs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any
 
-from repro.config import (
-    FaultDetectionConfig,
-    LoggingConfig,
-    ReplicationConfig,
-    SchedulerConfig,
-)
+from repro.config import normalize_policy_entry
 from repro.errors import ConfigurationError
 from repro.platform.registry import create_component, resolve_component
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.config import ProtocolConfig
+from repro.policies.base import PolicyBase
 from repro.policies.detection import DetectionPolicy, FixedTimeoutDetection
-from repro.policies.logging import (
-    LoggingPolicy,
-    OptimisticLogging,
-    PessimisticBlockingLogging,
-    PessimisticNonBlockingLogging,
-)
-from repro.policies.replication import (
-    NoReplication,
-    PassivePeriodicReplication,
-    ReplicationPolicy,
-)
+from repro.policies.logging import LoggingPolicy, PessimisticNonBlockingLogging
+from repro.policies.replication import PassivePeriodicReplication, ReplicationPolicy
 from repro.policies.scheduling import FifoReschedulePolicy, SchedulerPolicy
-from repro.types import LoggingStrategy
 
-__all__ = [
-    "SHADOWED_FLAG_PATHS",
-    "detection_policy_from",
-    "logging_policy_from",
-    "normalize_policy_entry",
-    "reassert_flag_override",
-    "replication_policy_from",
-    "scheduler_policy_from",
-    "sync_policy_flags",
-    "validate_policy_entries",
-]
+__all__ = ["normalize_policy_entry", "resolve_policy", "validate_policy_entries"]
 
-#: legacy flag paths that a set policy entry would otherwise shadow, by the
-#: axis whose entry they re-assert when explicitly overridden.  This is the
-#: single table the override machinery consults; the mirror direction lives
-#: in :func:`sync_policy_flags` below, and the flag->policy derivation in the
-#: ``*_policy_from`` functions — extend all three when adding an axis.
-#: The scheduler axis is deliberately absent: its only shadowed flag
-#: (``reschedule_on_suspicion``) feeds *into* any selected entry via
-#: :func:`scheduler_policy_from`'s default, so overriding it must not
-#: discard an explicitly requested scheduling order.  The detection axis is
-#: absent for the same reason: ``suspicion_timeout`` feeds into every
-#: detection policy as its fixed-rule fallback/ceiling, so overriding the
-#: flag tunes the selected detector rather than discarding it.
-SHADOWED_FLAG_PATHS = {
-    "coordinator.replication": "replication",
-    "coordinator.replication.enabled": "replication",
-    "coordinator.replication.period": "replication",
-    "client.logging": "logging",
-    "client.logging.strategy": "logging",
-}
-
-#: legacy strategy enum -> the logging policy class implementing it.
-_STRATEGY_POLICIES = {
-    LoggingStrategy.PESSIMISTIC_BLOCKING: PessimisticBlockingLogging,
-    LoggingStrategy.PESSIMISTIC_NON_BLOCKING: PessimisticNonBlockingLogging,
-    LoggingStrategy.OPTIMISTIC: OptimisticLogging,
+#: axis -> (the policy base class its entries must resolve to, the paper's
+#: built-in that an unset entry runs).
+_AXES: dict[str, tuple[type[PolicyBase], type[PolicyBase]]] = {
+    "scheduler": (SchedulerPolicy, FifoReschedulePolicy),
+    "replication": (ReplicationPolicy, PassivePeriodicReplication),
+    "logging": (LoggingPolicy, PessimisticNonBlockingLogging),
+    "detection": (DetectionPolicy, FixedTimeoutDetection),
 }
 
 
-def normalize_policy_entry(entry: Any) -> tuple[str, dict[str, Any]] | None:
-    """``entry`` -> ``(name, params)``, or ``None`` when unset.
+def resolve_policy(axis: str, entry: Any = None) -> Any:
+    """A fresh policy instance for one ``policy.<axis>`` entry.
 
-    Accepted shapes: ``None``, a registry key / dotted-path string, or a
-    mapping with a ``"name"`` key and optional ``"params"``.
+    ``None`` is the paper's built-in: FCFS scheduling, passive periodic
+    replication, pessimistic non-blocking logging, fixed-timeout detection.
     """
-    if entry is None:
-        return None
-    if isinstance(entry, str):
-        if not entry:
-            raise ConfigurationError("policy entry must be a non-empty name")
-        return entry, {}
-    if isinstance(entry, Mapping):
-        name = entry.get("name")
-        if not name:
-            raise ConfigurationError(
-                f"policy entry {dict(entry)!r} has no 'name' key"
-            )
-        return str(name), dict(entry.get("params") or {})
-    raise ConfigurationError(
-        f"policy entry must be a name or a {{'name', 'params'}} mapping, "
-        f"got {entry!r}"
-    )
-
-
-def _create(entry: Any, expected: type, what: str):
-    name, params = normalize_policy_entry(entry)  # entry is known non-None here
+    expected, builtin = _AXES[axis]
+    normalized = normalize_policy_entry(entry, f"policy.{axis}")
+    if normalized is None:
+        return builtin()
+    name, params = normalized
     instance = create_component(name, params)
     if not isinstance(instance, expected):
         raise ConfigurationError(
-            f"{what} policy {name!r} resolved to {type(instance).__name__}, "
+            f"{axis} policy {name!r} resolved to {type(instance).__name__}, "
             f"which is not a {expected.__name__}"
         )
     return instance
-
-
-def scheduler_policy_from(
-    config: SchedulerConfig, entry: Any = None
-) -> SchedulerPolicy:
-    """The scheduling policy for one coordinator (entry wins over flags).
-
-    An entry that does not spell out ``reschedule`` inherits the configured
-    ``reschedule_on_suspicion`` flag — swapping the scheduling order must
-    not silently re-enable the fault tolerance a baseline turned off.
-    """
-    if entry is not None:
-        name, params = normalize_policy_entry(entry)
-        factory = resolve_component(name)
-        # Only inject the default into genuine SchedulerPolicy classes (a
-        # wrong-kind entry still fails the type check with its own error,
-        # and exotic factories keep their exact signature).
-        if isinstance(factory, type) and issubclass(factory, SchedulerPolicy):
-            params.setdefault("reschedule", config.reschedule_on_suspicion)
-        return _create({"name": name, "params": params}, SchedulerPolicy, "scheduler")
-    return FifoReschedulePolicy(reschedule=config.reschedule_on_suspicion)
-
-
-def replication_policy_from(
-    config: ReplicationConfig, entry: Any = None
-) -> ReplicationPolicy:
-    """The replication policy for one coordinator (entry wins over flags)."""
-    if entry is not None:
-        return _create(entry, ReplicationPolicy, "replication")
-    if not config.enabled:
-        return NoReplication()
-    return PassivePeriodicReplication(period=config.period)
-
-
-def detection_policy_from(
-    config: FaultDetectionConfig, entry: Any = None
-) -> DetectionPolicy:
-    """The failure-detection policy for one detector (entry wins over flags).
-
-    ``None`` derives the paper's fixed-timeout rule from the config's
-    ``suspicion_timeout`` (the policy defers to the config at query time, so
-    the derivation is byte-identical to the historical flag-driven check).
-    """
-    if entry is not None:
-        return _create(entry, DetectionPolicy, "detection")
-    return FixedTimeoutDetection()
-
-
-def logging_policy_from(config: LoggingConfig, entry: Any = None) -> LoggingPolicy:
-    """The logging policy for one client (entry wins over the strategy flag)."""
-    if entry is not None:
-        return _create(entry, LoggingPolicy, "logging")
-    return _STRATEGY_POLICIES[config.strategy]()
-
-
-def reassert_flag_override(protocol: "ProtocolConfig", path: str, value: Any) -> None:
-    """Make an explicit legacy-flag override effective despite policy entries.
-
-    For the replication/logging axes the flag fully determines the policy,
-    so the shadowing entry is cleared and derivation falls back to the flags
-    (``--set coordinator.replication.enabled=false`` keeps disabling
-    replication even on a preset that bundles an entry).  The scheduler flag
-    only expresses the reschedule switch — the selected ordering is kept and
-    the entry's ``reschedule`` param is rewritten instead.
-    """
-    axis = SHADOWED_FLAG_PATHS.get(path)
-    if axis is not None:
-        setattr(protocol.policy, axis, None)
-        return
-    if path == "coordinator.scheduler.reschedule_on_suspicion":
-        normalized = normalize_policy_entry(protocol.policy.scheduler)
-        if normalized is not None:
-            name, params = normalized
-            params["reschedule"] = bool(value)
-            protocol.policy.scheduler = {"name": name, "params": params}
 
 
 def validate_policy_entries(policy_config: Any) -> None:
@@ -205,77 +62,7 @@ def validate_policy_entries(policy_config: Any) -> None:
     instantiating anything (parameters are validated at construction time,
     inside the cells).
     """
-    for field_name in ("scheduler", "replication", "logging", "detection"):
-        entry = getattr(policy_config, field_name, None)
-        normalized = normalize_policy_entry(entry)
-        if normalized is None:
-            continue
-        name, _params = normalized
-        resolve_component(name)
-
-
-# ---------------------------------------------------------------------------
-# Mirroring policy entries back onto the legacy flags
-# ---------------------------------------------------------------------------
-
-
-def _mirror_entry_flags(
-    protocol: "ProtocolConfig", axis: str, name: str, params: Mapping[str, Any]
-) -> None:
-    """Keep the legacy tier-config flags in sync with one built-in entry.
-
-    Custom (non-built-in) policy names have no flag equivalent; the flags
-    then keep their values and the policy entry alone is authoritative.
-    """
-    if axis == "replication":
-        # The policy class carries whether it replicates at all (its
-        # `enabled` attribute), so on-commit and custom variants mirror
-        # truthfully without being named here.
-        try:
-            factory = resolve_component(name)
-        except ConfigurationError:
-            return
-        enabled = getattr(factory, "enabled", None)
-        if isinstance(enabled, bool):
-            protocol.coordinator.replication.enabled = enabled
-        if name == "policy.repl.passive-periodic" and params.get("period") is not None:
-            protocol.coordinator.replication.period = float(params["period"])
-    elif axis == "scheduler":
-        if name.startswith("policy.sched.") and "reschedule" in params:
-            protocol.coordinator.scheduler.reschedule_on_suspicion = bool(
-                params["reschedule"]
-            )
-    elif axis == "detection":
-        # Only an explicit fixed timeout has a flag equivalent; adaptive and
-        # accrual detectors read the flag as their ceiling/fallback instead.
-        if name == "policy.detect.fixed-timeout" and params.get("timeout") is not None:
-            timeout = float(params["timeout"])
-            protocol.coordinator.detection.suspicion_timeout = timeout
-            protocol.server.detection.suspicion_timeout = timeout
-    elif axis == "logging":
-        # The policy class itself carries the strategy it implements (its
-        # `strategy` attribute) — resolve through the registry rather than
-        # duplicating the key->enum mapping here.
-        try:
-            factory = resolve_component(name)
-        except ConfigurationError:
-            return
-        strategy = getattr(factory, "strategy", None)
-        if isinstance(strategy, LoggingStrategy):
-            protocol.client.logging.strategy = strategy
-
-
-def sync_policy_flags(protocol: "ProtocolConfig") -> "ProtocolConfig":
-    """Mirror the set policy entries onto the legacy tier-config flags.
-
-    Called by the bundle builder and by override resolution
-    (``--set policy.replication=...``), so ``describe()`` and flag-reading
-    code never contradict the policies actually in force.  Entries without a
-    built-in flag equivalent leave the flags untouched.
-    """
-    for axis, entry in protocol.policy.entries().items():
-        normalized = normalize_policy_entry(entry)
+    for axis in _AXES:
+        normalized = normalize_policy_entry(getattr(policy_config, axis, None))
         if normalized is not None:
-            name, params = normalized
-            _mirror_entry_flags(protocol, axis, name, params)
-    return protocol
+            resolve_component(normalized[0])

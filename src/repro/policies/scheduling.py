@@ -24,9 +24,11 @@ The de-duplication scheme above is shared by every policy; what varies is
 * ``policy.sched.fastest-first``   — shortest declared execution time first
   (ties broken FCFS), the classic SJF heuristic.
 
-Every policy takes ``reschedule=`` (the "on suspicion" replication switch the
-baselines ablate) and is registered in the platform registry, so scenario
-specs and ``--set policy.scheduler=...`` select one by name.
+Every policy honours ``reschedule`` (the "on suspicion" replication switch
+the baselines ablate), which the owning coordinator sets from
+``coordinator.scheduler.reschedule_on_suspicion``, and is registered in the
+platform registry, so scenario specs and ``--set policy.scheduler=...``
+select one by name.
 """
 
 from __future__ import annotations
@@ -90,11 +92,12 @@ class SchedulerPolicy(PolicyBase):
 
     key = "policy.sched.base"
 
-    def __init__(self, reschedule: bool = True, name: str | None = None) -> None:
+    def __init__(self, name: str | None = None) -> None:
         super().__init__(name)
         #: re-schedule all tasks of a suspected server ("on suspicion"
-        #: replication) — the switch the degraded baselines turn off.
-        self.reschedule = bool(reschedule)
+        #: replication) — the switch the degraded baselines turn off; the
+        #: coordinator copies it from its SchedulerConfig.
+        self.reschedule = True
         #: how many assignments this policy has made (reporting).
         self.assignments = 0
         #: how many times the de-duplication policy withheld an ongoing task.
@@ -275,8 +278,8 @@ class RoundRobinSchedulerPolicy(SchedulerPolicy):
 
     key = "policy.sched.round-robin"
 
-    def __init__(self, reschedule: bool = True, name: str | None = None) -> None:
-        super().__init__(reschedule=reschedule, name=name)
+    def __init__(self, name: str | None = None) -> None:
+        super().__init__(name)
         self._cursor = 0
 
     def choose(

@@ -6,15 +6,12 @@ platforms, a :class:`WorkloadSpec` names the client workload, a
 :class:`FaultPlan` arms the fault injection, and protocol settings come from a
 named baseline preset plus dotted-path overrides.  :func:`execute_benchmark`
 runs the §5.1 synthetic benchmark over those pieces — it is the engine behind
-``repro.grid.runner.run_synthetic_benchmark`` (kept as a thin compatibility
-wrapper), the Figure 7 sweep, the baseline ablation and the churn scenarios.
+the Figure 7 sweep, the baseline ablation and the churn scenarios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from dataclasses import fields as dataclass_fields
-from dataclasses import is_dataclass
 from typing import Any, Mapping, Sequence
 
 from repro.baselines import (
@@ -22,17 +19,13 @@ from repro.baselines import (
     no_fault_tolerance_protocol,
     rpcv_protocol,
 )
-from repro.config import ProtocolConfig
+from repro.config import ProtocolConfig, apply_protocol_overrides
 from repro.errors import ConfigurationError
 from repro.grid.builder import Grid, build_confined_cluster, build_internet_testbed
 from repro.grid.deployment import confined_cluster_spec, internet_testbed_spec
 from repro.nodes.faultgen import ChurnInjector, FaultGenerator
 from repro.platform.library import ChurnInjectorComponent, RateFaultInjector
-from repro.policies.resolve import (
-    reassert_flag_override,
-    sync_policy_flags,
-    validate_policy_entries,
-)
+from repro.policies.resolve import validate_policy_entries
 from repro.scenarios.report import RunReport
 from repro.workloads.synthetic import SyntheticWorkload
 
@@ -212,46 +205,6 @@ class FaultPlan:
 # ---------------------------------------------------------------------------
 
 
-def _known_keys(target: Any) -> str:
-    """The valid attribute names at one segment of an override path."""
-    if is_dataclass(target):
-        keys = [f.name for f in dataclass_fields(target)]
-    else:
-        keys = [k for k in vars(target) if not k.startswith("_")]
-    return ", ".join(sorted(keys)) or "<none>"
-
-
-def apply_protocol_overrides(
-    protocol: ProtocolConfig, overrides: Mapping[str, Any]
-) -> ProtocolConfig:
-    """Apply dotted-path overrides (``"coordinator.replication.enabled"``).
-
-    Every path must name an existing attribute — typos are configuration
-    errors, not silent no-ops, and the error names the valid keys at the
-    failing segment.  The mutated config is re-validated.  Overriding a
-    legacy flag a policy entry shadows clears that entry (later ``--set``
-    flags win over earlier ones, in either direction).
-    """
-    for path, value in overrides.items():
-        target: Any = protocol
-        parts = path.split(".")
-        for index, part in enumerate(parts):
-            if not hasattr(target, part):
-                at = ".".join(parts[:index]) or "the protocol root"
-                raise ConfigurationError(
-                    f"unknown protocol path {path!r}: {part!r} is not a key "
-                    f"of {at} (valid keys: {_known_keys(target)})"
-                )
-            if index < len(parts) - 1:
-                target = getattr(target, part)
-        setattr(target, parts[-1], value)
-        # An explicit legacy-flag override must stay effective despite any
-        # shadowing policy entry (cleared, or rewritten for the scheduler's
-        # reschedule switch) — later --set flags win, in either direction.
-        reassert_flag_override(protocol, path, value)
-    return protocol.validate()
-
-
 def resolve_protocol(
     preset: str | ProtocolConfig | None = None,
     overrides: Mapping[str, Any] | None = None,
@@ -271,10 +224,8 @@ def resolve_protocol(
     if overrides:
         protocol = apply_protocol_overrides(protocol, overrides)
         # Policy entries set via overrides fail fast on an unknown registry
-        # key (the CLI calls this once before a sweep burns any time), and
-        # the legacy flags are re-mirrored so describe() stays truthful.
+        # key (the CLI calls this once before a sweep burns any time).
         validate_policy_entries(protocol.policy)
-        sync_policy_flags(protocol)
     return protocol
 
 

@@ -7,8 +7,7 @@ grid: every server lives through exponential up/down cycles (see
 the makespan and completion degrade as the mean time between failures shrinks
 — the "volatile nodes" regime the paper targets but never sweeps.
 ``sched-ablation`` sweeps the coordinator's scheduling policy axis over the
-``policy.sched.*`` family on a heterogeneous batch — the protocol ablation
-the flag-based configuration could not express.
+``policy.sched.*`` family on a heterogeneous batch.
 """
 
 from __future__ import annotations

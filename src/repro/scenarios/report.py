@@ -1,8 +1,7 @@
-"""The per-run report shared by the execution engine and its wrappers.
+"""The per-run report of the execution engine (:mod:`repro.scenarios.engine`).
 
-Lives in its own dependency-free module so both :mod:`repro.scenarios.engine`
-and the :mod:`repro.grid.runner` compatibility wrapper can import it without
-creating a package cycle.
+Lives in its own dependency-free module so it can be imported without
+pulling in the grid builders.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import SchedulerConfig
 from repro.core.protocol import (
     CallDescription,
     ResultRecord,
@@ -15,7 +14,6 @@ from repro.core.protocol import (
 )
 from repro.core.registry import CoordinatorRegistry
 from repro.core.replication import ReplicaState, build_state, merge_state
-from repro.core.scheduler import FcfsScheduler
 from repro.core.services import ServiceRegistry, ServiceSpec, default_registry
 from repro.core.session import Session
 from repro.core.synchronization import (
@@ -24,6 +22,7 @@ from repro.core.synchronization import (
     plan_server_sync,
 )
 from repro.errors import ConfigurationError, ServiceNotRegistered, SessionError
+from repro.policies.scheduling import FifoReschedulePolicy
 from repro.types import Address, CallIdentity, RPCId, SessionId, TaskState, UserId
 
 
@@ -177,7 +176,7 @@ class TestCoordinatorRegistry:
 
 class TestScheduler:
     def test_fcfs_picks_oldest_pending(self):
-        scheduler = FcfsScheduler()
+        scheduler = FifoReschedulePolicy()
         tasks = {i: make_task(i) for i in (3, 1, 2)}
         decision = scheduler.pick(tasks, Address("server", "s0"), "k0", lambda _o: False, now=10.0)
         assert decision.task is not None
@@ -186,13 +185,13 @@ class TestScheduler:
         assert decision.task.assigned_server == Address("server", "s0")
 
     def test_finished_tasks_never_scheduled(self):
-        scheduler = FcfsScheduler()
+        scheduler = FifoReschedulePolicy()
         tasks = {1: make_task(1, state=TaskState.FINISHED)}
         decision = scheduler.pick(tasks, Address("server", "s0"), "k0", lambda _o: False, now=0.0)
         assert decision.task is None
 
     def test_ongoing_foreign_task_held_until_owner_suspected(self):
-        scheduler = FcfsScheduler()
+        scheduler = FifoReschedulePolicy()
         tasks = {1: make_task(1, state=TaskState.ONGOING, owner="coordinator:other")}
         held = scheduler.pick(tasks, Address("server", "s0"), "k0", lambda _o: False, now=0.0)
         assert held.task is None
@@ -200,13 +199,13 @@ class TestScheduler:
         assert released.task is not None
 
     def test_own_ongoing_task_not_rescheduled_by_pick(self):
-        scheduler = FcfsScheduler()
+        scheduler = FifoReschedulePolicy()
         tasks = {1: make_task(1, state=TaskState.ONGOING, owner="k0")}
         decision = scheduler.pick(tasks, Address("server", "s0"), "k0", lambda _o: True, now=0.0)
         assert decision.task is None
 
     def test_reschedule_for_suspected_server(self):
-        scheduler = FcfsScheduler()
+        scheduler = FifoReschedulePolicy()
         server = Address("server", "s0")
         task = make_task(1, state=TaskState.ONGOING, owner="k0")
         task.assigned_server = server
@@ -217,21 +216,20 @@ class TestScheduler:
         assert task.assigned_server is None
 
     def test_reschedule_respects_config_switch(self):
-        scheduler = FcfsScheduler(SchedulerConfig(reschedule_on_suspicion=False))
+        # The coordinator copies coordinator.scheduler.reschedule_on_suspicion
+        # onto its policy's switch.
+        scheduler = FifoReschedulePolicy()
+        scheduler.reschedule = False
         server = Address("server", "s0")
         task = make_task(1, state=TaskState.ONGOING, owner="k0")
         task.assigned_server = server
         assert scheduler.reschedule_for_suspected_server({1: task}, server, "k0") == []
 
     def test_attempts_incremented_on_assignment(self):
-        scheduler = FcfsScheduler()
+        scheduler = FifoReschedulePolicy()
         tasks = {1: make_task(1)}
         scheduler.pick(tasks, Address("server", "s0"), "k0", lambda _o: False, now=0.0)
         assert tasks[1].attempts == 1
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FcfsScheduler(SchedulerConfig(policy="random"))
 
 
 class TestReplication:

@@ -14,8 +14,13 @@ from repro.msglog.strategies import LoggingEngine
 from repro.net.message import MessageType
 from repro.net.transport import Network
 from repro.nodes.node import Host
+from repro.policies.logging import (
+    OptimisticLogging,
+    PessimisticBlockingLogging,
+    PessimisticNonBlockingLogging,
+)
 from repro.sim.rng import RandomStreams
-from repro.types import Address, LoggingStrategy
+from repro.types import Address
 
 S = Address("server", "s0")
 K = Address("coordinator", "k0")
@@ -247,10 +252,10 @@ class TestMessageLog:
 
 
 class TestLoggingStrategies:
-    def _engine(self, env, strategy):
+    def _engine(self, env, policy):
         host = make_host(env)
         log = MessageLog(host, "out")
-        return host, log, LoggingEngine(host, log, LoggingConfig(strategy=strategy))
+        return host, log, LoggingEngine(host, log, policy())
 
     def _run(self, env, engine, size=1_000_000):
         def proc():
@@ -264,25 +269,25 @@ class TestLoggingStrategies:
         return process.value
 
     def test_blocking_pays_full_write_before_send(self, env):
-        host, log, engine = self._engine(env, LoggingStrategy.PESSIMISTIC_BLOCKING)
+        host, log, engine = self._engine(env, PessimisticBlockingLogging)
         before, _after = self._run(env, engine)
         assert before == pytest.approx(host.disk.sync_write_time(1_000_000))
         assert log.get(1).durable
 
     def test_optimistic_barely_delays_send(self, env):
-        host, log, engine = self._engine(env, LoggingStrategy.OPTIMISTIC)
+        host, log, engine = self._engine(env, OptimisticLogging)
         before, after = self._run(env, engine)
         assert before < 0.2 * host.disk.sync_write_time(1_000_000)
         assert after == before  # no post-send wait either
 
     def test_optimistic_record_becomes_durable_later(self, env):
-        host, log, engine = self._engine(env, LoggingStrategy.OPTIMISTIC)
+        host, log, engine = self._engine(env, OptimisticLogging)
         self._run(env, engine)
         env.run()
         assert log.get(1).durable
 
     def test_non_blocking_waits_at_most_cached_time(self, env):
-        host, log, engine = self._engine(env, LoggingStrategy.PESSIMISTIC_NON_BLOCKING)
+        host, log, engine = self._engine(env, PessimisticNonBlockingLogging)
         before, after = self._run(env, engine)
         assert before == 0.0
         assert after <= host.disk.sync_write_time(1_000_000)
@@ -290,22 +295,26 @@ class TestLoggingStrategies:
 
     def test_blocking_overhead_ordering(self, env):
         results = {}
-        for strategy in LoggingStrategy:
-            host, _log, engine = self._engine(env, strategy)
+        for policy in (
+            PessimisticBlockingLogging,
+            PessimisticNonBlockingLogging,
+            OptimisticLogging,
+        ):
+            host, _log, engine = self._engine(env, policy)
             self._run(env, engine, size=10_000_000)
-            results[strategy] = engine.blocking_overhead
+            results[policy] = engine.blocking_overhead
         assert (
-            results[LoggingStrategy.PESSIMISTIC_BLOCKING]
-            > results[LoggingStrategy.PESSIMISTIC_NON_BLOCKING]
+            results[PessimisticBlockingLogging]
+            > results[PessimisticNonBlockingLogging]
             >= 0.0
         )
         assert (
-            results[LoggingStrategy.OPTIMISTIC]
-            < results[LoggingStrategy.PESSIMISTIC_BLOCKING]
+            results[OptimisticLogging]
+            < results[PessimisticBlockingLogging]
         )
 
     def test_crash_before_background_write_loses_record(self, env):
-        host, log, engine = self._engine(env, LoggingStrategy.OPTIMISTIC)
+        host, log, engine = self._engine(env, OptimisticLogging)
 
         def proc():
             yield from engine.before_send(1, {"p": 1}, 50_000_000)

@@ -12,13 +12,7 @@ from repro.baselines import (
     protocol_from_bundle,
     rpcv_protocol,
 )
-from repro.config import (
-    LoggingConfig,
-    PolicyConfig,
-    ProtocolConfig,
-    ReplicationConfig,
-    SchedulerConfig,
-)
+from repro.config import PolicyConfig, ProtocolConfig
 from repro.errors import ConfigurationError
 from repro.grid.builder import build_confined_cluster
 from repro.platform.registry import component_names, create_component
@@ -33,9 +27,7 @@ from repro.policies import (
     RandomSchedulerPolicy,
     RoundRobinSchedulerPolicy,
     SchedulerPolicy,
-    logging_policy_from,
-    replication_policy_from,
-    scheduler_policy_from,
+    resolve_policy,
 )
 from repro.scenarios import Axis, ScenarioSpec, run_scenario
 from repro.scenarios.engine import benchmark_cell, resolve_protocol
@@ -65,9 +57,9 @@ class TestRegistryRoundTrip:
         } <= names
 
     def test_create_component_round_trip(self):
-        policy = create_component("policy.sched.round-robin", {"reschedule": False})
+        policy = create_component("policy.sched.round-robin")
         assert isinstance(policy, RoundRobinSchedulerPolicy)
-        assert policy.reschedule is False
+        assert policy.reschedule is True
         assert policy.key == "policy.sched.round-robin"
 
     def test_unknown_policy_fails_with_known_names(self):
@@ -76,46 +68,55 @@ class TestRegistryRoundTrip:
 
     def test_entry_shapes(self):
         assert isinstance(
-            scheduler_policy_from(SchedulerConfig(), "policy.sched.random"),
-            RandomSchedulerPolicy,
+            resolve_policy("scheduler", "policy.sched.random"), RandomSchedulerPolicy
         )
         assert isinstance(
-            scheduler_policy_from(
-                SchedulerConfig(),
-                {"name": "policy.sched.fastest-first", "params": {"reschedule": False}},
+            resolve_policy(
+                "scheduler", {"name": "policy.sched.fastest-first", "params": {}}
             ),
             FastestFirstSchedulerPolicy,
         )
         with pytest.raises(ConfigurationError, match="name"):
-            scheduler_policy_from(SchedulerConfig(), {"params": {}})
+            resolve_policy("scheduler", {"params": {}})
         with pytest.raises(ConfigurationError, match="not a SchedulerPolicy"):
-            scheduler_policy_from(SchedulerConfig(), "policy.repl.none")
+            resolve_policy("scheduler", "policy.repl.none")
+
+
+def _coordinator_policies(protocol: ProtocolConfig):
+    """The scheduler and replication policy a grid built from ``protocol`` runs."""
+    grid = build_confined_cluster(
+        n_servers=1, n_coordinators=1, protocol=protocol, seed=1
+    )
+    grid.start()
+    coordinator = grid.coordinators[0]
+    return coordinator.scheduler, coordinator.replication_policy
 
 
 class TestDefaultDerivation:
     def test_scheduler_defaults_track_the_flags(self):
-        policy = scheduler_policy_from(SchedulerConfig())
+        assert isinstance(resolve_policy("scheduler"), FifoReschedulePolicy)
+        policy, _ = _coordinator_policies(ProtocolConfig())
         assert isinstance(policy, FifoReschedulePolicy)
         assert policy.reschedule is True
-        off = scheduler_policy_from(SchedulerConfig(reschedule_on_suspicion=False))
+        protocol = ProtocolConfig()
+        protocol.coordinator.scheduler.reschedule_on_suspicion = False
+        off, _ = _coordinator_policies(protocol)
         assert off.reschedule is False
 
     def test_replication_defaults_track_the_flags(self):
-        periodic = replication_policy_from(ReplicationConfig(period=7.0))
+        _, periodic = _coordinator_policies(ProtocolConfig())
         assert isinstance(periodic, PassivePeriodicReplication)
-        assert periodic.period == 7.0
         assert isinstance(
-            replication_policy_from(ReplicationConfig(enabled=False)), NoReplication
+            resolve_policy("replication", "policy.repl.none"), NoReplication
         )
 
     def test_logging_defaults_track_the_strategy(self):
-        assert isinstance(
-            logging_policy_from(LoggingConfig()), PessimisticNonBlockingLogging
-        )
-        assert isinstance(
-            logging_policy_from(LoggingConfig(strategy=LoggingStrategy.OPTIMISTIC)),
-            OptimisticLogging,
-        )
+        default = resolve_policy("logging")
+        assert isinstance(default, PessimisticNonBlockingLogging)
+        assert default.strategy is LoggingStrategy.PESSIMISTIC_NON_BLOCKING
+        optimistic = resolve_policy("logging", "policy.log.optimistic")
+        assert isinstance(optimistic, OptimisticLogging)
+        assert optimistic.strategy is LoggingStrategy.OPTIMISTIC
 
 
 class TestSchedulerVariants:
@@ -170,7 +171,8 @@ class TestSchedulerVariants:
     def test_reschedule_switch(self):
         task = make_task(1, state=TaskState.ONGOING, owner="k0")
         task.assigned_server = SERVER
-        held = FifoReschedulePolicy(reschedule=False)
+        held = FifoReschedulePolicy()
+        held.reschedule = False
         assert held.reschedule_for_suspected_server({1: task}, SERVER, "k0") == []
         released = FifoReschedulePolicy()
         assert len(released.reschedule_for_suspected_server({1: task}, SERVER, "k0")) == 1
@@ -179,29 +181,25 @@ class TestSchedulerVariants:
 class TestPresetBundleEquivalence:
     def test_presets_carry_their_bundles(self):
         protocol = rpcv_protocol()
-        assert protocol.policy.replication["name"] == "policy.repl.passive-periodic"
+        assert protocol.policy.replication == "policy.repl.passive-periodic"
         assert protocol.coordinator.replication.period == 5.0
         no_ft = no_fault_tolerance_protocol()
-        assert no_ft.policy.replication["name"] == "policy.repl.none"
-        assert no_ft.coordinator.replication.enabled is False
+        assert no_ft.policy.replication == "policy.repl.none"
+        assert no_ft.policy.logging == "policy.log.optimistic"
+        assert no_ft.policy.scheduler is None
         assert no_ft.coordinator.scheduler.reschedule_on_suspicion is False
-        assert no_ft.client.logging.strategy is LoggingStrategy.OPTIMISTIC
 
     def test_unknown_bundle_and_axis_raise(self):
         with pytest.raises(ConfigurationError, match="unknown policy bundle"):
             protocol_from_bundle("xtremweb")
-        with pytest.raises(ConfigurationError, match="unknown policy bundle axes"):
+        with pytest.raises(ConfigurationError, match="unknown protocol path"):
             protocol_from_bundle({"sched": "policy.sched.random"})
 
     def test_preset_rows_equal_explicit_policy_bundle_rows(self):
-        """A preset and its bundle spelled out as overrides run identically."""
+        """A preset and its bundle passed as overrides run identically."""
         preset = benchmark_cell(protocol_preset="no-replication", **MICRO)
-        bundle = POLICY_BUNDLES["no-fault-tolerance"]
         explicit = benchmark_cell(
-            scheduler_policy=bundle["scheduler"],
-            replication_policy=bundle["replication"],
-            logging_policy=bundle["logging"],
-            **MICRO,
+            protocol_overrides=POLICY_BUNDLES["no-fault-tolerance"], **MICRO
         )
         assert preset == explicit
 
@@ -220,72 +218,67 @@ class TestPresetBundleEquivalence:
         with pytest.raises(ConfigurationError, match="unknown component"):
             resolve_protocol(None, {"policy.scheduler": "policy.sched.nope"})
 
-    def test_policy_override_mirrors_the_legacy_flags(self):
-        protocol = resolve_protocol(
-            None,
-            {"policy.replication": "policy.repl.none",
-             "policy.logging": "policy.log.optimistic"},
-        )
-        assert protocol.coordinator.replication.enabled is False
-        assert protocol.client.logging.strategy is LoggingStrategy.OPTIMISTIC
-        assert protocol.describe()["replication_enabled"] is False
-
     def test_scheduler_entry_inherits_the_reschedule_flag(self):
         # Swapping the scheduling order on a degraded baseline must not
-        # silently re-enable the rescheduling the baseline turned off.
+        # silently re-enable the rescheduling the baseline turned off: the
+        # switch lives on the tier config, whatever policy runs.
         protocol = resolve_protocol(
             "no-replication", {"policy.scheduler": "policy.sched.random"}
         )
-        policy = scheduler_policy_from(
-            protocol.coordinator.scheduler, protocol.policy.scheduler
-        )
+        policy, _ = _coordinator_policies(protocol)
         assert isinstance(policy, RandomSchedulerPolicy)
         assert policy.reschedule is False
-        # An explicit param still wins over the flag.
-        explicit = scheduler_policy_from(
-            protocol.coordinator.scheduler,
-            {"name": "policy.sched.random", "params": {"reschedule": True}},
-        )
-        assert explicit.reschedule is True
 
     def test_reschedule_flag_override_keeps_the_selected_ordering(self):
-        # The scheduler flag only expresses the reschedule switch; overriding
-        # it must rewrite the entry's param, not discard the chosen ordering
-        # (even when a preset bundle spelled the param out explicitly).
         protocol = resolve_protocol(
             "rpc-v",
             {"policy.scheduler": "policy.sched.random",
              "coordinator.scheduler.reschedule_on_suspicion": False},
         )
-        assert protocol.policy.scheduler["name"] == "policy.sched.random"
-        policy = scheduler_policy_from(
-            protocol.coordinator.scheduler, protocol.policy.scheduler
-        )
+        assert protocol.policy.scheduler == "policy.sched.random"
+        policy, _ = _coordinator_policies(protocol)
         assert isinstance(policy, RandomSchedulerPolicy)
         assert policy.reschedule is False
 
-    def test_describe_reports_the_effective_scheduler(self):
-        assert ProtocolConfig().describe()["scheduler_policy"] == "fcfs"
-        protocol = resolve_protocol(
-            None, {"policy.scheduler": "policy.sched.round-robin"}
-        )
-        assert protocol.describe()["scheduler_policy"] == "policy.sched.round-robin"
+    def test_replication_period_override_sets_the_passive_cadence(self):
+        def rounds(overrides):
+            grid = build_confined_cluster(
+                n_servers=1,
+                n_coordinators=2,
+                protocol=resolve_protocol("rpc-v", overrides),
+                seed=1,
+            )
+            grid.start()
+            grid.run(until=100.0)
+            return grid.monitor.count("policy.repl.passive-periodic.rounds")
 
-    def test_legacy_flag_override_clears_the_shadowing_entry(self):
-        # A preset bundles policy entries; explicitly overriding the legacy
-        # flag re-asserts the flags as that axis' source of truth.
-        protocol = resolve_protocol(
-            "rpc-v", {"coordinator.replication.enabled": False}
-        )
-        assert protocol.policy.replication is None
-        assert isinstance(
-            replication_policy_from(
-                protocol.coordinator.replication, protocol.policy.replication
-            ),
-            NoReplication,
-        )
-        # The untouched axes keep their bundle entries.
-        assert protocol.policy.scheduler["name"] == "policy.sched.fifo-reschedule"
+        # Two coordinators, one round each at t = 30, 60 and 90.
+        assert rounds({"coordinator.replication.period": 30.0}) == 6
+        assert rounds({}) > 30  # the bundle's own 5 s cadence
+
+    def test_removed_settings_are_rejected(self):
+        # Each setting has one home: the flags that duplicated a policy
+        # choice and the knobs nothing read are gone from the tier configs.
+        for path in (
+            "coordinator.replication.enabled",
+            "coordinator.replication.batch",
+            "client.logging.strategy",
+            "coordinator.scheduler.policy",
+            "coordinator.scheduler.proactive_replicas",
+            "coordinator.scheduler.server_slots",
+            "server.offline_computing",
+        ):
+            with pytest.raises(ConfigurationError, match="unknown protocol path"):
+                resolve_protocol("rpc-v", {path: False})
+        # ...and policy entries cannot carry a copy of a tier setting.
+        for axis, name, params in (
+            ("scheduler", "policy.sched.random", {"reschedule": False}),
+            ("replication", "policy.repl.passive-periodic", {"period": 5.0}),
+            ("replication", "policy.repl.quorum", {"period": 5.0}),
+            ("detection", "policy.detect.fixed-timeout", {"timeout": 30.0}),
+        ):
+            with pytest.raises(ConfigurationError, match="rejected its parameters"):
+                resolve_policy(axis, {"name": name, "params": params})
 
 
 class TestOnCommitReplication:

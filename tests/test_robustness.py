@@ -17,7 +17,7 @@ from repro.policies import (
     PhiAccrualDetection,
     QuorumReplication,
 )
-from repro.scenarios.engine import benchmark_cell
+from repro.scenarios.engine import benchmark_cell, resolve_protocol
 from repro.scenarios.runner import SweepRunner
 from repro.scenarios.spec import Axis, CellResult, ScenarioSpec
 from repro.sim.rng import RandomStreams
@@ -130,8 +130,15 @@ class TestDetectionPolicies:
         assert policy.suspects("x", 30.1, self.config)
 
     def test_fixed_timeout_explicit_override(self):
-        policy = FixedTimeoutDetection(timeout=10.0)
-        assert policy.suspects("x", 10.1, self.config)
+        # The timeout has one home, the tier config; a dotted-path override
+        # of it retunes the fixed rule.
+        protocol = resolve_protocol(
+            None, {"coordinator.detection.suspicion_timeout": 10.0}
+        )
+        config = protocol.coordinator.detection
+        policy = FixedTimeoutDetection()
+        assert not policy.suspects("x", 9.9, config)
+        assert policy.suspects("x", 10.1, config)
 
     def test_adaptive_uses_fixed_rule_below_min_samples(self):
         policy = AdaptiveTimeoutDetection(min_samples=3)
@@ -224,11 +231,10 @@ class TestQuorumReplication:
         assert policy.quorum_for(1) == 1  # a lone survivor still commits
 
     def test_rounds_commit_and_reach_the_backups(self):
+        protocol = self._protocol()
+        protocol.coordinator.replication.period = 2.0
         grid = build_confined_cluster(
-            n_servers=2,
-            n_coordinators=3,
-            protocol=self._protocol(period=2.0),
-            seed=3,
+            n_servers=2, n_coordinators=3, protocol=protocol, seed=3
         )
         grid.start()
         assert isinstance(grid.coordinators[0].replication_policy, QuorumReplication)

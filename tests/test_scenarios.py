@@ -117,11 +117,12 @@ class TestSpecResolution:
 
 class TestProtocolResolution:
     def test_presets_and_dotted_overrides(self):
+        assert resolve_protocol("rpc-v").coordinator.replication.period == 5.0
         protocol = resolve_protocol(
-            "rpc-v", {"coordinator.replication.enabled": False}
+            "rpc-v", {"coordinator.replication.period": 30.0}
         )
-        assert protocol.coordinator.replication.period == 5.0
-        assert not protocol.coordinator.replication.enabled
+        assert protocol.coordinator.replication.period == 30.0
+        assert protocol.policy.replication == "policy.repl.passive-periodic"
 
     def test_bad_paths_and_presets_raise(self):
         with pytest.raises(ConfigurationError, match="unknown protocol path"):

@@ -19,7 +19,6 @@ from repro.config import (
     LoggingConfig,
     ProtocolConfig,
     ReplicationConfig,
-    SchedulerConfig,
     ServerConfig,
 )
 from repro.errors import ConfigurationError
@@ -57,10 +56,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ReplicationConfig(period=0.0).validate()
 
-    def test_scheduler_policy_known(self):
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(policy="lifo").validate()
-
     def test_client_poll_period_positive(self):
         with pytest.raises(ConfigurationError):
             ClientConfig(result_poll_period=0.0).validate()
@@ -74,17 +69,6 @@ class TestConfigValidation:
         config.request_processing_overhead = -1.0
         with pytest.raises(ConfigurationError):
             config.validate()
-
-    def test_with_logging_strategy_copies(self):
-        base = ProtocolConfig()
-        copy = base.with_logging_strategy(LoggingStrategy.OPTIMISTIC)
-        assert copy.client.logging.strategy is LoggingStrategy.OPTIMISTIC
-        assert base.client.logging.strategy is not LoggingStrategy.OPTIMISTIC
-
-    def test_describe_reports_key_settings(self):
-        description = ProtocolConfig().describe()
-        assert "logging_strategy" in description
-        assert "replication_period" in description
 
 
 class TestWorkloads:
