@@ -248,13 +248,9 @@ class ProtocolConfig:
         return self
 
 
-def _known_keys(target: Any) -> str:
-    """The valid attribute names at one segment of an override path."""
-    if is_dataclass(target):
-        keys = [f.name for f in fields(target)]
-    else:
-        keys = [k for k in vars(target) if not k.startswith("_")]
-    return ", ".join(sorted(keys)) or "<none>"
+def _field_names(target: Any) -> list[str]:
+    """The settable keys at one segment of an override path."""
+    return [f.name for f in fields(target)] if is_dataclass(target) else []
 
 
 def apply_protocol_overrides(
@@ -262,19 +258,20 @@ def apply_protocol_overrides(
 ) -> ProtocolConfig:
     """Apply dotted-path overrides (``"coordinator.replication.period"``).
 
-    Every path must name an existing attribute — typos are configuration
-    errors, not silent no-ops, and the error names the valid keys at the
-    failing segment.  The mutated config is re-validated.
+    Every path must name a config field — typos (and method names) are
+    configuration errors, not silent no-ops, and the error names the valid
+    keys at the failing segment.  The mutated config is re-validated.
     """
     for path, value in overrides.items():
         target: Any = protocol
         parts = path.split(".")
         for index, part in enumerate(parts):
-            if not hasattr(target, part):
+            keys = _field_names(target)
+            if part not in keys:
                 at = ".".join(parts[:index]) or "the protocol root"
                 raise ConfigurationError(
                     f"unknown protocol path {path!r}: {part!r} is not a key "
-                    f"of {at} (valid keys: {_known_keys(target)})"
+                    f"of {at} (valid keys: {', '.join(sorted(keys)) or '<none>'})"
                 )
             if index < len(parts) - 1:
                 target = getattr(target, part)

@@ -125,8 +125,9 @@ class TestProtocolResolution:
         assert protocol.policy.replication == "policy.repl.passive-periodic"
 
     def test_bad_paths_and_presets_raise(self):
-        with pytest.raises(ConfigurationError, match="unknown protocol path"):
-            apply_protocol_overrides(resolve_protocol(), {"coordinator.bogus": 1})
+        for path in ("coordinator.bogus", "coordinator.validate"):
+            with pytest.raises(ConfigurationError, match="unknown protocol path"):
+                apply_protocol_overrides(resolve_protocol(), {path: 1})
         with pytest.raises(ConfigurationError, match="unknown protocol preset"):
             resolve_protocol("xtremweb")
 
